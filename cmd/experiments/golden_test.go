@@ -43,11 +43,8 @@ func TestBenchDirGolden(t *testing.T) {
 
 	var tables []string
 	for _, par := range []int{1, 4} {
-		// The flow engine is pinned: the golden table records one exact
-		// trajectory, and the default auto policy now calibrates by
-		// timing candidate engines per problem — equally optimal, but
-		// free to land on a different (bitwise different) optimum
-		// between runs.
+		// The flow engine is pinned so the golden table's trajectory
+		// does not follow a future change of the auto default.
 		sz, err := minflo.NewSizer(&minflo.Config{FlowEngine: "dial", Parallelism: par})
 		if err != nil {
 			t.Fatal(err)

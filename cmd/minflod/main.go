@@ -68,10 +68,20 @@ import (
 	"minflo/internal/serve"
 )
 
+// readHeaderTimeout bounds reading a request's headers, so a client
+// that trickles them cannot hold a connection open indefinitely.  The
+// serve layer bounds the body read itself, armed only around the read.
+// There is deliberately no server-wide ReadTimeout: its deadline is set
+// for the whole request, and a read deadline that fires while a
+// handler runs cancels the request context — and with it the solve.
+// net/http happens to disarm it once a body is read to the end, but
+// does not document that.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7317", "listen address")
-		engine      = flag.String("engine", "ssp", "default D-phase flow engine for sessions that do not pin one: "+strings.Join(minflo.FlowEngines(), ", ")+", or auto")
+		engine      = flag.String("engine", "ssp", "default D-phase flow engine for sessions that do not pin one: "+strings.Join(minflo.FlowEngines(), ", ")+", or auto (= dial)")
 		jobs        = flag.Int("j", 1, "per-solve worker budget (throughput comes from session concurrency; keep 1 unless solves are huge)")
 		maxInflight = flag.Int("max-inflight", 0, "concurrently executing solves (0 = GOMAXPROCS)")
 		maxPending  = flag.Int("max-pending", 64, "globally admitted-but-unfinished requests before 429")
@@ -118,7 +128,11 @@ func run(addr, engine string, jobs, maxInflight, maxPending, queueDepth int, mem
 		return err
 	}
 
-	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr:              addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("minflod listening on %s (engine=%s, mem-high=%s)", addr, engine, memHigh)

@@ -33,9 +33,7 @@ import (
 )
 
 // metamorphicOptions pins the flow engine: the metamorphic invariants
-// quantify over one exact trajectory, and the auto policy's timing
-// probe is free to land on a different (equally optimal) backend per
-// run.
+// quantify over one exact trajectory.
 func metamorphicOptions(costScale, supplyScale float64) Options {
 	return Options{FlowEngine: "dial", Parallelism: 1, CostScale: costScale, SupplyScale: supplyScale}
 }

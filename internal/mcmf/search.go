@@ -1,11 +1,7 @@
-// Per-search Dijkstra state, factored out of the Solver so that one
-// network can be searched by several workers at once: the residual
-// arcs, potentials and excess vector are shared read-only during a
-// search, while everything a search writes — tentative distances, the
-// shortest-path tree, the epoch stamps and the heap — lives in a
-// searchScratch.  The Solver owns one (its serial scratch, s.ss); the
-// "parallel" engine keeps a pool of additional scratches for its
-// speculative searches (parallel.go).
+// Per-search Dijkstra state: the residual arcs, potentials and excess
+// vector are read during a search, while everything a search writes —
+// tentative distances, the shortest-path tree, the epoch stamps and
+// the heap — lives in a searchScratch, which the Solver owns (s.ss).
 package mcmf
 
 // searchScratch is the write-side state of one shortest-path search:
@@ -106,13 +102,9 @@ func dijkstraHeap(s *Solver, sc *searchScratch, src int32, excess []int64) (int3
 // search (in sc) from src to target at shortest distance dt: the
 // settled-only potential update, the bottleneck computation, the
 // residual push, and the excess transfer.  It returns the bottleneck
-// pushed.  This is the single commit path shared by the serial
-// augmentation loop and the parallel engine, so a committed
-// speculative search is bit-identical to a serially computed one.
-// Note the bottleneck reads live residual capacities at commit time —
-// a search result only pins the tree (prevArc), distances and the
-// target, which is what makes speculative results commutable with
-// capacity changes that never cross zero.
+// pushed.  Note the bottleneck reads live residual capacities at
+// commit time — a search result only pins the tree (prevArc),
+// distances and the target.
 func (s *Solver) applyAugmentation(sc *searchScratch, src, target int32, dt int64, excess []int64) int64 {
 	// Update potentials on settled nodes only: pot += dist − dt
 	// (equivalent to the classic pot += min(dist, dt) up to a

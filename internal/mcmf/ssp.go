@@ -1,8 +1,7 @@
-// Successive-shortest-paths machinery shared by the "ssp", "dial" and
-// "parallel" engines: the source-selection/augmentation loop is
-// common, and the per-augmentation shortest-path search is pluggable
-// (heap Dijkstra in search.go, Dial bucket Dijkstra in dial.go,
-// speculative concurrent heap searches in parallel.go).
+// Successive-shortest-paths machinery shared by the "ssp" and "dial"
+// engines: the source-selection/augmentation loop is common, and the
+// per-augmentation shortest-path search is pluggable (heap Dijkstra in
+// search.go, Dial bucket Dijkstra in dial.go).
 package mcmf
 
 // pathFinder runs one shortest-path search on reduced costs from src,

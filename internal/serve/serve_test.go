@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -565,5 +568,165 @@ func TestServeEvictionRebuild(t *testing.T) {
 		if re.Sizes[i] != ref.Sizes[i] {
 			t.Fatalf("rebuilt sizes diverge at %d: %.17g vs %.17g", i, re.Sizes[i], ref.Sizes[i])
 		}
+	}
+}
+
+// TestServeOversizedRequestRefused pins the request-body cap: an
+// oversized submit, query or edit is refused with 413 and the typed
+// bad_request body before anything is decoded, and the session it
+// targeted stays bit-identical to a serial twin that never saw it.
+func TestServeOversizedRequestRefused(t *testing.T) {
+	_, hs, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	sub := submitCircuit(t, c, "s", "adder16")
+	submitCircuit(t, c, "twin", "adder16")
+
+	pad := strings.Repeat("x", maxRequestBytes)
+	edit, err := json.Marshal(EditOp{Op: "load", Gate: 3, LoadFF: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := strings.Repeat(string(edit)+",", maxRequestBytes/len(edit))
+	for _, tc := range []struct{ name, path, body string }{
+		{"submit", "/v1/sessions", `{"id":"s","circuit":"c17","name":"` + pad + `"}`},
+		{"query", "/v1/sessions/s/query", `{"target_ps":1000,"pad":"` + pad + `"}`},
+		{"edit", "/v1/sessions/s/edit", `{"edits":[` + edits + string(edit) + `]}`},
+	} {
+		resp, err := http.Post(hs.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var body ErrorBody
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil || body.Code != CodeBadRequest {
+			t.Fatalf("%s: status %d, body %+v (decode err %v); want 413 %s", tc.name, resp.StatusCode, body, derr, CodeBadRequest)
+		}
+	}
+
+	// The refused requests left no trace: the same history on the
+	// session and on its twin answers bit-identically.
+	for _, id := range []string{"s", "twin"} {
+		if _, err := c.Edit(ctx, id, &EditRequest{Edits: []EditOp{{Op: "load", Gate: 3, LoadFF: 20}}}); err != nil {
+			t.Fatalf("%s: edit: %v", id, err)
+		}
+	}
+	for i, spec := range []float64{0.6, 0.55} {
+		req := &QueryRequest{TargetPS: spec * sub.MinDelayPS, WantSizes: true}
+		a, err := c.Query(ctx, "s", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.Query(ctx, "twin", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Generation != b.Generation || a.Seq != b.Seq || a.Area != b.Area || a.CPPS != b.CPPS ||
+			a.Iterations != b.Iterations || a.Warm != b.Warm || a.Seed != b.Seed || len(a.Sizes) != len(b.Sizes) {
+			t.Fatalf("query %d: session %+v diverged from twin %+v", i, a, b)
+		}
+		for k := range a.Sizes {
+			if a.Sizes[k] != b.Sizes[k] {
+				t.Fatalf("query %d: size[%d] %v, twin %v", i, k, a.Sizes[k], b.Sizes[k])
+			}
+		}
+	}
+	info, err := c.Info(ctx, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.NumGates != sub.NumGates || info.Queries != 2 || info.Edits != 1 {
+		t.Fatalf("session info after refused requests: %+v", info)
+	}
+}
+
+// TestServeSlowSolveOutlivesReadDeadlines runs the handler on a real
+// http.Server configured like minflod's (header timeout, no
+// server-wide ReadTimeout) with the body-read bound shortened.  A query
+// whose solve is parked far past both bounds must still answer,
+// bit-identical to an unparked twin: no read deadline may cancel the
+// request context under a running solve.  A client that trickles its
+// body past the bound gets 408.
+func TestServeSlowSolveOutlivesReadDeadlines(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	defer func(old time.Duration) { bodyReadTimeout = old }(bodyReadTimeout)
+	bodyReadTimeout = timeout
+
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs.Config.ReadHeaderTimeout = timeout
+	hs.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		hs.Close()
+	})
+	c := NewClient(hs.URL, hs.Client())
+	ctx := context.Background()
+
+	sub, err := c.Submit(ctx, &SubmitRequest{ID: "slow", Circuit: "adder16", FlowEngine: "fault"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(ctx, &SubmitRequest{ID: "twin", Circuit: "adder16", FlowEngine: "ssp"}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The solve parks at its first flow operation for 5× the read
+	// bounds before it is let go.
+	parked := make(chan struct{})
+	fault.SetPlan(fault.Plan{Mode: fault.Cancel, Op: 1, OnCancel: func() {
+		close(parked)
+		time.Sleep(5 * timeout)
+	}})
+	defer fault.Reset()
+
+	req := &QueryRequest{TargetPS: 0.6 * sub.MinDelayPS, WantSizes: true}
+	a, err := c.Query(ctx, "slow", req)
+	if err != nil {
+		t.Fatalf("slow query: %v", err)
+	}
+	select {
+	case <-parked:
+	default:
+		t.Fatal("the solve never reached the parking point")
+	}
+	b, err := c.Query(ctx, "twin", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Area != b.Area || a.CPPS != b.CPPS || a.Iterations != b.Iterations || len(a.Sizes) != len(b.Sizes) {
+		t.Fatalf("slow query %+v diverged from twin %+v", a, b)
+	}
+	for k := range a.Sizes {
+		if a.Sizes[k] != b.Sizes[k] {
+			t.Fatalf("size[%d] %v, twin %v", k, a.Sizes[k], b.Sizes[k])
+		}
+	}
+
+	// A body that stalls after its first bytes is cut off at the bound.
+	conn, err := net.Dial("tcp", hs.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.WriteString(conn, "POST /v1/sessions/twin/query HTTP/1.1\r\nHost: minflod\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"target"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb ErrorBody
+	derr := json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout || derr != nil || eb.Code != CodeBadRequest {
+		t.Fatalf("trickled body: status %d, body %+v (decode err %v); want 408 %s", resp.StatusCode, eb, derr, CodeBadRequest)
 	}
 }

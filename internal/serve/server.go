@@ -65,9 +65,11 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -84,8 +86,8 @@ import (
 // defaults (serial solves, ssp engine, 1 GiB memory watermark).
 type Config struct {
 	// Engine is the default D-phase flow backend for sessions that do
-	// not pin one ("ssp" when empty — deterministic and robust; "auto"
-	// would calibrate per problem at the cost of reproducibility).
+	// not pin one ("ssp" when empty, the reference engine; "auto"
+	// means "dial").
 	Engine string
 	// Parallelism is the per-solve worker budget (default 1: serving
 	// throughput comes from session-level concurrency, not intra-solve
@@ -284,17 +286,69 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	bufPool.Put(buf)
 }
 
-// readJSON slurps the request body through a pooled buffer and
-// unmarshals it (a streaming Decoder would allocate its read buffer
-// per request).
-func readJSON(r *http.Request, dst any) error {
+// maxRequestBytes caps every request body, so one oversized request
+// cannot exhaust the daemon's memory before the session watermark ever
+// sees it.  The largest netlist in the repo — adder256 as written by
+// WriteBench, 97 KB of .bench text — submits inline as a 101 KB JSON
+// body; 1 MiB leaves 10× headroom for it (and room for edit batches of
+// ~20k entries).
+const maxRequestBytes = 1 << 20
+
+// bodyReadTimeout bounds reading one request body, so a client that
+// trickles its body cannot hold a connection open indefinitely; 30 s
+// covers maxRequestBytes on a slow link.  readJSON arms it on the
+// connection only around the read and disarms it before the solve: a
+// read deadline that fires while the handler runs would cancel the
+// request context, and with it the solve.  (A var only so tests can
+// shorten it.)
+var bodyReadTimeout = 30 * time.Second
+
+// readDeadliner is the deadline half of http.ResponseController,
+// asserted directly: the server's own ResponseWriter implements it, and
+// the assertion costs no allocation where ResponseController's
+// not-supported error would (handler-level recorders).
+type readDeadliner interface{ SetReadDeadline(time.Time) error }
+
+// readJSON slurps a request body of at most maxRequestBytes through a
+// pooled buffer (a streaming Decoder would allocate its read buffer
+// per request) and unmarshals it into dst, with the read bounded by
+// bodyReadTimeout.  On failure it writes the typed bad_request error —
+// 413 when the body is over the cap, 408 when the read timed out, 400
+// for malformed JSON — and returns false.
+func (srv *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer bufPool.Put(buf)
-	if _, err := buf.ReadFrom(r.Body); err != nil {
-		return err
+	dl, _ := w.(readDeadliner)
+	if dl != nil {
+		_ = dl.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	}
-	return json.Unmarshal(buf.Bytes(), dst)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if dl != nil && err == nil {
+		// Disarm before the solve.  After a failed read the deadline
+		// stays armed, so net/http's drain of the unread body fails
+		// fast and the connection closes instead of waiting on the
+		// client.
+		_ = dl.SetReadDeadline(time.Time{})
+	}
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), dst)
+	}
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		srv.writeError(w, http.StatusRequestEntityTooLarge, CodeBadRequest,
+			fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes))
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		srv.writeError(w, http.StatusRequestTimeout, CodeBadRequest,
+			fmt.Sprintf("request body not received within %v", bodyReadTimeout))
+	default:
+		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON: "+err.Error())
+	}
+	return false
 }
 
 func (srv *Server) writeError(w http.ResponseWriter, status int, code, msg string) {
@@ -309,8 +363,7 @@ func (srv *Server) writeError(w http.ResponseWriter, status int, code, msg strin
 // burst of submits cannot stampede the CPU past admission control.
 func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := readJSON(r, &req); err != nil {
-		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON: "+err.Error())
+	if !srv.readJSON(w, r, &req) {
 		return
 	}
 	if req.FlowEngine != "" && req.FlowEngine != "auto" && !validEngine(req.FlowEngine) {
@@ -372,8 +425,7 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (srv *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req QueryRequest
-	if err := readJSON(r, &req); err != nil {
-		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON: "+err.Error())
+	if !srv.readJSON(w, r, &req) {
 		return
 	}
 	if !(req.TargetPS > 0) {
@@ -479,8 +531,7 @@ func canonicalQuery(q *QueryRequest) string {
 func (srv *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req EditRequest
-	if err := readJSON(r, &req); err != nil {
-		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON: "+err.Error())
+	if !srv.readJSON(w, r, &req) {
 		return
 	}
 	if len(req.Edits) == 0 {

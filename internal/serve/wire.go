@@ -56,8 +56,9 @@ type SubmitRequest struct {
 	Bench string `json:"bench,omitempty"`
 	// Name labels a Bench netlist (diagnostics only).
 	Name string `json:"name,omitempty"`
-	// FlowEngine pins the D-phase backend for this session ("" uses
-	// the server default; "auto" calibrates per problem).
+	// FlowEngine pins the D-phase backend for this session: "dial",
+	// "ssp" or "costscaling"; "auto" means "dial" and "" uses the
+	// server default.  Any other name is a bad_request.
 	FlowEngine string `json:"flow_engine,omitempty"`
 	// Parallelism requests an intra-solve worker budget for this
 	// session.  0 uses the server default; anything above the daemon's
